@@ -35,9 +35,10 @@
 # through the streaming pipeline with its user-cost counters populated.
 #
 # The serving gate replays the smoke trace's event stream over stdin into
-# the online `serve` binary: the final report hash must equal the same
-# committed golden (the server is the batch engine behind a socket), and
-# the decision-latency percentiles must have been recorded.
+# the online `serve` binary, with two workers and with one: the final
+# report hash must equal the same committed golden (the server is the
+# batch engine behind a socket), and the decision-latency percentiles
+# must have been recorded.
 #
 # The full run also greps library crates for stray stdout/stderr printing:
 # all human-facing output belongs to the bench binaries, libraries speak
@@ -104,6 +105,12 @@ perf_serve() {
     test "$(grep '^report-hash:' target/serve_smoke.out)" = "$SERVE_GOLDEN"
     grep -q '^serve: latency_us p50=[0-9]* p95=[0-9]* p99=[0-9]*$' target/serve_smoke.out
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke.out
+    # A single worker decides every shard, the path the `serve-open`
+    # benchmark workload measures; it must print the same golden.
+    ./target/release/tracegen --preset small --seed 777 --events \
+        | ./target/release/serve --seed 5 --threads 1 > target/serve_smoke_1.out
+    cat target/serve_smoke_1.out
+    test "$(grep '^report-hash:' target/serve_smoke_1.out)" = "$SERVE_GOLDEN"
 }
 
 no_library_prints() {

@@ -13,8 +13,9 @@
 //! - [`protocol`] — the wire format and its panic-free, line-numbered
 //!   ingest parser.
 //! - [`server`] — the sharded serving loop: work-stealing engine
-//!   construction, per-shard single-owner event routing,
-//!   decision-latency histograms, graceful shutdown into a final
+//!   construction, per-shard single-owner event routing in batches over
+//!   bounded queues, shard-grouped dispatch, decision-latency
+//!   histograms, graceful shutdown into a final
 //!   [`SimReport`](adpf_core::SimReport) plus obs snapshot.
 //!
 //! The `serve` binary wraps [`server::serve`] for the command line; the

@@ -24,10 +24,10 @@
 //!   without closing its write side).
 //! - Blank lines and other `#` comments are ignored.
 //!
-//! The parser is **panic-free and forgiving by design**: a malformed or
-//! out-of-order line is *rejected* — reported with its 1-based line
-//! number and counted under `serve.ingest_errors` — and the stream keeps
-//! going. Only a missing header is unrecoverable, because nothing can be
+//! The parser is **panic-free and forgiving by design**: a malformed,
+//! out-of-order or non-UTF-8 line is *rejected* — reported with its
+//! 1-based line number and counted under `serve.ingest_errors` — and the
+//! stream keeps going. Only a missing header is unrecoverable, because nothing can be
 //! sized without it.
 
 use std::io::Write;
@@ -188,6 +188,19 @@ impl Parser {
         }
         self.watermark_ms = time_ms;
         Parsed::Event(SlotEvent { time_ms, user, app })
+    }
+
+    /// [`feed`](Self::feed) for a raw input line, as the server reads
+    /// it. A line that is not valid UTF-8 is rejected with its line
+    /// number like any other garbage.
+    pub fn feed_bytes(&mut self, raw: &[u8]) -> Parsed {
+        match std::str::from_utf8(raw) {
+            Ok(line) => self.feed(line),
+            Err(_) => {
+                self.line += 1;
+                self.reject("line is not valid UTF-8".into())
+            }
+        }
     }
 
     fn feed_header(&mut self, rest: &str) -> Parsed {

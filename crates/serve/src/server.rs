@@ -15,21 +15,30 @@
 //!   [`UserSlots`] view: an online server cannot know the future, so the
 //!   oracle predictor is rejected up front);
 //! - workers claim shard indices from the work-stealing [`WorkQueue`]
-//!   to build engines, then own what they built: the ingest thread
-//!   routes each event to its shard's owning worker over a bounded-race
-//!   FIFO channel, so one shard's events are always handled in arrival
-//!   order by one thread — the determinism contract — while distinct
-//!   shards proceed in parallel;
+//!   to build engines, then own what they built. The ingest thread
+//!   splits lines straight out of the reader's buffer and appends each
+//!   routed event to its owner's pending batch. A batch is handed over
+//!   once it holds `BATCH_EVENTS` events, and every non-empty batch is
+//!   handed over as soon as the input chunk in hand is used up, so an
+//!   event never waits for more input. Each worker's queue is a bounded
+//!   FIFO of `QUEUE_BATCHES` batches; a full queue blocks the router,
+//!   which keeps the backlog bounded;
+//! - a worker takes one batch, gathers whatever else is already queued
+//!   (up to `GROUP_EVENTS` events), stable-sorts the group by shard and
+//!   decides it shard by shard, so consecutive decisions reuse one
+//!   engine's warm state. The sort is stable, so one shard's events are
+//!   still decided in arrival order by one thread — the determinism
+//!   contract — while distinct shards proceed in parallel;
 //! - at end of stream (EOF or the `shutdown` sentinel) every engine
 //!   drains its remaining internal events, finalizes, and the reports
 //!   merge **in shard order**, the same fixed summation order as the
 //!   batch merge.
 //!
-//! Decisions are answered in-line: an event is fully decided (cache
-//! hit, fallback fetch, or unfilled — including any internal syncs due
-//! before it) before the worker dequeues the next one, and the
-//! enqueue-to-decision latency of every event lands in the
-//! `serve.decision_latency_us` histogram.
+//! Each event is fully decided (cache hit, fallback fetch, or unfilled —
+//! including any internal syncs due before it) in its turn within the
+//! group, and the enqueue-to-decision latency of every event lands in
+//! the `serve.decision_latency_us` histogram. Under saturation that
+//! latency includes the wait inside the group.
 //!
 //! # Why a shard's sub-stream equals its batch sub-trace
 //!
@@ -40,7 +49,8 @@
 //! order. So every per-shard engine sees the identical input either
 //! way, and identical inputs + identical configs = identical reports.
 
-use std::io::BufRead;
+use std::io::{self, BufRead};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Instant;
@@ -59,6 +69,16 @@ use crate::protocol::{IngestError, Parsed, Parser, StreamHeader};
 /// log-linear buckets, 4 steps per octave) recorded for every served
 /// request.
 pub const DECISION_LATENCY_METRIC: &str = "serve.decision_latency_us";
+
+/// Events per router-to-worker batch: a worker's pending events are
+/// handed over once this many accumulate.
+const BATCH_EVENTS: usize = 1024;
+
+/// Batches each worker's queue holds before the router blocks.
+const QUEUE_BATCHES: usize = 64;
+
+/// Events a worker gathers from its queue into one shard-sorted group.
+const GROUP_EVENTS: usize = 16 * 1024;
 
 /// How a [`serve`] run is configured.
 #[derive(Debug, Clone)]
@@ -184,6 +204,66 @@ impl ErrorLog {
     }
 }
 
+/// Splits a [`BufRead`] into lines straight from its buffer: a line
+/// inside one chunk is borrowed from it, and only a line that spans two
+/// chunks is copied, into one reused carry buffer.
+struct LineSplitter<R> {
+    input: R,
+    carry: Vec<u8>,
+}
+
+impl<R: BufRead> LineSplitter<R> {
+    fn new(input: R) -> Self {
+        Self {
+            input,
+            carry: Vec::new(),
+        }
+    }
+
+    /// Hands each line of the next input chunk to `each`, without its
+    /// `\n`, and consumes the chunk. When `each` breaks, only the input
+    /// through that line is consumed. Returns `false` once `each` broke
+    /// or the input is exhausted; a last line without a newline is
+    /// handed over at end of input.
+    fn next_chunk(&mut self, mut each: impl FnMut(&[u8]) -> ControlFlow<()>) -> io::Result<bool> {
+        let chunk = loop {
+            match self.input.fill_buf() {
+                Ok(chunk) => break chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        if chunk.is_empty() {
+            if !self.carry.is_empty() {
+                let _ = each(&self.carry);
+                self.carry.clear();
+            }
+            return Ok(false);
+        }
+        let mut start = 0;
+        while let Some(len) = chunk[start..].iter().position(|&b| b == b'\n') {
+            let end = start + len;
+            let flow = if self.carry.is_empty() {
+                each(&chunk[start..end])
+            } else {
+                self.carry.extend_from_slice(&chunk[start..end]);
+                let flow = each(&self.carry);
+                self.carry.clear();
+                flow
+            };
+            start = end + 1;
+            if flow.is_break() {
+                self.input.consume(start);
+                return Ok(false);
+            }
+        }
+        self.carry.extend_from_slice(&chunk[start..]);
+        let used = chunk.len();
+        self.input.consume(used);
+        Ok(true)
+    }
+}
+
 /// Runs one serve session over `input` to completion (EOF or the
 /// `shutdown` sentinel) and returns the final report plus observability
 /// snapshot.
@@ -212,17 +292,27 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     // Phase 1: scan to the header. Anything rejected on the way (events
     // before the header, malformed headers) is counted like any other
     // bad line; only end-of-input without a header is fatal.
-    let mut lines = input.lines();
-    let header = loop {
-        let Some(line) = lines.next() else {
-            return Err(ServeError::MissingHeader);
-        };
-        match parser.feed(&line?) {
-            Parsed::Header(h) => break h,
-            Parsed::Rejected(e) => errors.push(e),
-            Parsed::Shutdown => return Err(ServeError::MissingHeader),
-            Parsed::Event(_) | Parsed::Skip => {}
+    let mut lines = LineSplitter::new(input);
+    let mut header = None;
+    while header.is_none() {
+        let more = lines.next_chunk(|line| match parser.feed_bytes(line) {
+            Parsed::Header(h) => {
+                header = Some(h);
+                ControlFlow::Break(())
+            }
+            Parsed::Rejected(e) => {
+                errors.push(e);
+                ControlFlow::Continue(())
+            }
+            Parsed::Shutdown => ControlFlow::Break(()),
+            Parsed::Event(_) | Parsed::Skip => ControlFlow::Continue(()),
+        })?;
+        if !more {
+            break;
         }
+    }
+    let Some(header) = header else {
+        return Err(ServeError::MissingHeader);
     };
 
     // Size the run exactly like the batch pipeline sizes it from a
@@ -253,7 +343,7 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     let mut txs = Vec::with_capacity(threads);
     let mut rxs = Vec::with_capacity(threads);
     for _ in 0..threads {
-        let (tx, rx) = mpsc::channel::<Routed>();
+        let (tx, rx) = mpsc::sync_channel::<Vec<Routed>>(QUEUE_BATCHES);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -285,20 +375,32 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
                 }
                 barrier.wait();
 
-                // Decision phase: events for owned shards arrive in
-                // stream order; each is decided in-line before the next
-                // dequeue. The latency histogram measures enqueue to
-                // decision-complete, so queueing delay under load is
-                // part of the number — what an SLA would see.
+                // Decision phase: batches for owned shards arrive in
+                // stream order. Take one, gather what else is already
+                // queued, and decide the group shard by shard; the
+                // stable sort keeps each shard's arrival order. The
+                // latency histogram measures enqueue to
+                // decision-complete, so queueing delay under load,
+                // including the wait inside a group, is part of the
+                // number — what an SLA would see.
                 let obs = MetricRegistry::new();
                 let lat = obs.histogram(DECISION_LATENCY_METRIC);
-                while let Ok(m) = rx.recv() {
-                    let engine = engines[m.shard as usize]
-                        .as_mut()
-                        .expect("event routed to a worker that owns its shard");
-                    engine.drain_internal_before(m.time);
-                    engine.on_slot(m.time, m.user, m.app);
-                    obs.observe_id(lat, m.enqueued.elapsed().as_micros() as u64);
+                let mut group: Vec<Routed> = Vec::new();
+                while let Ok(mut batch) = rx.recv() {
+                    group.append(&mut batch);
+                    while group.len() < GROUP_EVENTS {
+                        let Ok(mut batch) = rx.try_recv() else { break };
+                        group.append(&mut batch);
+                    }
+                    group.sort_by_key(|m| m.shard);
+                    for m in group.drain(..) {
+                        let engine = engines[m.shard as usize]
+                            .as_mut()
+                            .expect("event routed to a worker that owns its shard");
+                        engine.drain_internal_before(m.time);
+                        engine.on_slot(m.time, m.user, m.app);
+                        obs.observe_id(lat, m.enqueued.elapsed().as_micros() as u64);
+                    }
                 }
 
                 // Shutdown phase (all senders dropped): drain the
@@ -315,30 +417,51 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
         }
 
         // Router (this thread): wait out engine construction, then
-        // forward each event to its shard's owner. FIFO channels
-        // preserve per-shard arrival order.
+        // batch each event for its shard's owner. FIFO queues of
+        // stream-ordered batches preserve per-shard arrival order.
         barrier.wait();
-        for line in lines {
-            let line = line?;
-            match parser.feed(&line) {
-                Parsed::Event(e) => {
-                    // First range whose end exceeds the user id; the
-                    // parser guarantees `user < users`, so this hits.
-                    let shard = ranges.partition_point(|r| r.end <= e.user);
-                    let w = ownership[shard].load(Ordering::Acquire);
-                    let routed = Routed {
-                        shard: shard as u32,
-                        time: SimTime::from_millis(e.time_ms),
-                        user: UserId(e.user - ranges[shard].start),
-                        app: AppId(e.app),
-                        enqueued: Instant::now(),
-                    };
-                    requests += 1;
-                    txs[w].send(routed).expect("worker outlives the router");
+        let mut pending: Vec<Vec<Routed>> = (0..threads).map(|_| Vec::new()).collect();
+        let send = |w: usize, batch: &mut Vec<Routed>| {
+            txs[w]
+                .send(std::mem::take(batch))
+                .expect("worker outlives the router");
+        };
+        loop {
+            let more = lines.next_chunk(|line| {
+                match parser.feed_bytes(line) {
+                    Parsed::Event(e) => {
+                        // First range whose end exceeds the user id; the
+                        // parser guarantees `user < users`, so this hits.
+                        let shard = ranges.partition_point(|r| r.end <= e.user);
+                        let w = ownership[shard].load(Ordering::Acquire);
+                        let batch = &mut pending[w];
+                        batch.push(Routed {
+                            shard: shard as u32,
+                            time: SimTime::from_millis(e.time_ms),
+                            user: UserId(e.user - ranges[shard].start),
+                            app: AppId(e.app),
+                            enqueued: Instant::now(),
+                        });
+                        requests += 1;
+                        if batch.len() == BATCH_EVENTS {
+                            send(w, batch);
+                        }
+                    }
+                    Parsed::Rejected(e) => errors.push(e),
+                    Parsed::Shutdown => return ControlFlow::Break(()),
+                    Parsed::Header(_) | Parsed::Skip => {}
                 }
-                Parsed::Rejected(e) => errors.push(e),
-                Parsed::Shutdown => break,
-                Parsed::Header(_) | Parsed::Skip => {}
+                ControlFlow::Continue(())
+            })?;
+            // The chunk in hand is used up: hand over everything
+            // pending rather than hold it back for more input.
+            for (w, batch) in pending.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    send(w, batch);
+                }
+            }
+            if !more {
+                break;
             }
         }
         drop(txs);
@@ -454,6 +577,25 @@ mod tests {
             4,
             "rejections surface in the obs namespace"
         );
+    }
+
+    #[test]
+    fn a_line_of_invalid_utf8_is_one_rejection() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let clean = serve(&ServeOptions::new(cfg.clone()), stream.as_slice()).unwrap();
+        let mut dirty = Vec::new();
+        for (i, line) in stream.split_inclusive(|&b| b == b'\n').enumerate() {
+            dirty.extend_from_slice(line);
+            if i == 10 {
+                dirty.extend_from_slice(b"slot,2,\xff\xfe,0\n");
+            }
+        }
+        let out = serve(&ServeOptions::new(cfg), dirty.as_slice()).unwrap();
+        assert_eq!(out.ingest_errors, 1);
+        assert_eq!(out.error_sample[0].line, 12);
+        assert_eq!(out.requests, clean.requests);
+        assert_eq!(out.report, clean.report);
     }
 
     #[test]
