@@ -141,6 +141,10 @@ fi
 
 cargo build --release --workspace
 cargo test -q --workspace --release
+# The benchmark is a package of its own (own workspace): run its
+# self-test, which checks metric names against BENCHMARK.json and that
+# traced and untraced passes agree.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 no_library_prints

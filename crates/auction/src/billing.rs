@@ -1,6 +1,7 @@
 //! Impression billing and SLA tracking.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use adpf_desim::SimTime;
 
@@ -39,7 +40,6 @@ struct Entry {
     price: f64,
     deadline: SimTime,
     state: AdState,
-    duplicates: u32,
 }
 
 /// Aggregate billing totals.
@@ -98,64 +98,120 @@ impl LedgerTotals {
 /// clients; those are *not* billed — they consume client slots that could
 /// have shown other paid ads, which is precisely the "revenue loss" the
 /// overbooking model must keep negligible.
+///
+/// The exchange issues ad ids densely from 0, so entries live in a `Vec`
+/// indexed by id; an id far past the dense range (more than
+/// `DENSE_GAP` beyond it) goes to an ordered side map instead, so a
+/// sparse id costs one entry rather than a run of empty slots. Sales
+/// with a finite deadline also enter a min-heap of `(deadline, id)`, so
+/// an expiry sweep visits only the ads that came due rather than every
+/// ad ever sold.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    ads: HashMap<AdId, Entry>,
+    /// `ads[id]`: the entry of ad `id`, `None` for an id never sold.
+    ads: Vec<Option<Entry>>,
+    /// Entries whose id lies beyond the dense range.
+    sparse: BTreeMap<u64, Entry>,
+    /// `(deadline, id)` of every sale with a finite deadline, earliest
+    /// first. Settled ads stay until their deadline passes and are
+    /// skipped then.
+    deadlines: BinaryHeap<Reverse<(SimTime, u64)>>,
     totals: LedgerTotals,
 }
 
 impl Ledger {
+    /// How far past the dense range an id may land and still extend it.
+    const DENSE_GAP: u64 = 1024;
+
     /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
     }
 
+    fn entry(&self, id: u64) -> Option<&Entry> {
+        if id < self.ads.len() as u64 {
+            self.ads[id as usize].as_ref()
+        } else {
+            self.sparse.get(&id)
+        }
+    }
+
+    /// The entry of ad `id`, borrowing only the two entry stores so the
+    /// caller can update `totals` alongside it.
+    fn entry_mut<'a>(
+        ads: &'a mut [Option<Entry>],
+        sparse: &'a mut BTreeMap<u64, Entry>,
+        id: u64,
+    ) -> Option<&'a mut Entry> {
+        if id < ads.len() as u64 {
+            ads[id as usize].as_mut()
+        } else {
+            sparse.get_mut(&id)
+        }
+    }
+
     /// Registers a sale.
     pub fn record_sale(&mut self, ad: &SoldAd) {
-        let prev = self.ads.insert(
-            ad.id,
-            Entry {
-                campaign: ad.campaign,
-                price: ad.price,
-                deadline: ad.deadline,
-                state: AdState::Pending,
-                duplicates: 0,
-            },
-        );
+        let entry = Entry {
+            campaign: ad.campaign,
+            price: ad.price,
+            deadline: ad.deadline,
+            state: AdState::Pending,
+        };
+        let id = ad.id.0;
+        let len = self.ads.len() as u64;
+        let prev = if id < len {
+            self.ads[id as usize].replace(entry)
+        } else if id - len <= Self::DENSE_GAP {
+            self.ads.resize(id as usize + 1, None);
+            // Side-map entries the dense range now covers move into it.
+            while let Some(e) = self.sparse.first_entry() {
+                if *e.key() > id {
+                    break;
+                }
+                let (k, v) = e.remove_entry();
+                self.ads[k as usize] = Some(v);
+            }
+            self.ads[id as usize].replace(entry)
+        } else {
+            self.sparse.insert(id, entry)
+        };
         debug_assert!(prev.is_none(), "ad {} sold twice", ad.id);
+        if ad.deadline != SimTime::MAX {
+            self.deadlines.push(Reverse((ad.deadline, id)));
+        }
         self.totals.sold += 1;
         self.totals.sold_value += ad.price;
     }
 
     /// Reports a display of `ad` at `at`.
     pub fn record_impression(&mut self, ad: AdId, at: SimTime) -> ImpressionOutcome {
-        let Some(entry) = self.ads.get_mut(&ad) else {
+        let Some(entry) = Self::entry_mut(&mut self.ads, &mut self.sparse, ad.0) else {
             return ImpressionOutcome::Unknown;
         };
+        let totals = &mut self.totals;
         match entry.state {
             AdState::Pending => {
                 if at <= entry.deadline {
                     entry.state = AdState::Displayed;
-                    self.totals.billed += 1;
-                    self.totals.revenue += entry.price;
+                    totals.billed += 1;
+                    totals.revenue += entry.price;
                     ImpressionOutcome::Billed
                 } else {
                     // The expiry sweep may not have run yet; settle it now.
                     entry.state = AdState::Expired;
-                    self.totals.expired += 1;
-                    self.totals.refunded += entry.price;
-                    self.totals.late_displays += 1;
+                    totals.expired += 1;
+                    totals.refunded += entry.price;
+                    totals.late_displays += 1;
                     ImpressionOutcome::Late
                 }
             }
             AdState::Displayed => {
-                entry.duplicates += 1;
-                self.totals.duplicates += 1;
+                totals.duplicates += 1;
                 ImpressionOutcome::Duplicate
             }
             AdState::Expired => {
-                entry.duplicates += 1;
-                self.totals.late_displays += 1;
+                totals.late_displays += 1;
                 ImpressionOutcome::Late
             }
         }
@@ -164,31 +220,38 @@ impl Ledger {
     /// Expires every pending ad whose deadline is before `now`; returns
     /// `(ad, campaign, price)` for each so the exchange can refund.
     pub fn expire_due(&mut self, now: SimTime) -> Vec<(AdId, CampaignId, f64)> {
-        // Collect due ids first and settle them in id order: HashMap
-        // iteration order varies run to run, and settling in it would make
-        // the floating-point refund total (and thus whole-simulation
-        // reports) nondeterministic.
-        let mut due: Vec<AdId> = self
-            .ads
-            .iter()
-            .filter(|(_, e)| e.state == AdState::Pending && e.deadline < now)
-            .map(|(&id, _)| id)
-            .collect();
+        let mut due = Vec::new();
+        while let Some(&Reverse((deadline, id))) = self.deadlines.peek() {
+            if deadline >= now {
+                break;
+            }
+            self.deadlines.pop();
+            if self
+                .entry(id)
+                .is_some_and(|e| e.state == AdState::Pending && e.deadline < now)
+            {
+                due.push(id);
+            }
+        }
+        // Settle in id order, not deadline order: the refund total is a
+        // floating-point sum, so its order is part of every report.
         due.sort_unstable();
+        due.dedup();
         let mut refunds = Vec::with_capacity(due.len());
         for id in due {
-            let entry = self.ads.get_mut(&id).expect("collected above");
+            let entry =
+                Self::entry_mut(&mut self.ads, &mut self.sparse, id).expect("collected above");
             entry.state = AdState::Expired;
             self.totals.expired += 1;
             self.totals.refunded += entry.price;
-            refunds.push((id, entry.campaign, entry.price));
+            refunds.push((AdId(id), entry.campaign, entry.price));
         }
         refunds
     }
 
     /// State of an ad, if known.
     pub fn state(&self, ad: AdId) -> Option<AdState> {
-        self.ads.get(&ad).map(|e| e.state)
+        self.entry(ad.0).map(|e| e.state)
     }
 
     /// Current totals.

@@ -3,20 +3,23 @@
 //! pool on every sync (the substrate of the `batched-hotpath` baseline
 //! rows and the `--perf-check` CI gate).
 
-use adpf_overbooking::availability::{display_probability_bursty, AvailabilityCache};
+use adpf_overbooking::availability::{display_probability_bursty, BurstyTail};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+/// Day-level dispersion the pools are scored at.
+const DISPERSION: f64 = 0.85;
+
 /// A synthetic candidate pool shaped like the engine's score-phase
-/// input: a small set of distinct session rates (users cluster by
-/// activity level, so the availability cache sees heavy lambda reuse)
-/// with varying per-candidate queue depths.
+/// input: `(expected slots, queue depth, slots per session)` with a
+/// small set of distinct rates (users cluster by activity level) and
+/// varying per-candidate queue depths.
 fn pool(n: usize) -> Vec<(f64, u32, f64)> {
     (0..n)
         .map(|i| {
-            let lambda = 2.0 + ((i * 7919) % 16) as f64 * 1.5;
+            let expected = 2.0 + ((i * 7919) % 16) as f64 * 1.5;
             let queued = ((i * 31) % 5) as u32;
-            (lambda, queued, 3.5)
+            (expected, queued, 3.5)
         })
         .collect()
 }
@@ -28,26 +31,28 @@ fn bench_closed_form(c: &mut Criterion) {
                 black_box(8.0),
                 black_box(2),
                 black_box(3.5),
-                black_box(0.85),
+                black_box(DISPERSION),
             ))
         });
     });
 }
 
 fn bench_score_sweep(c: &mut Criterion) {
+    // The pool build's score pass: one fresh tail state per candidate,
+    // scored at its current queue depth (one `exp` each).
     let mut g = c.benchmark_group("score_sweep");
     for n in [32usize, 128, 512] {
         let cands = pool(n);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &cands, |b, cands| {
-            // One cache reused across iterations, exactly like the
-            // engine reuses its cache across syncs: steady-state scoring
-            // is almost entirely memoized-series extensions.
-            let mut cache = AvailabilityCache::new(0.85);
+            let mut tails = Vec::with_capacity(cands.len());
             b.iter(|| {
+                tails.clear();
                 let mut acc = 0.0;
-                for &(lambda, queued, mean_session) in cands {
-                    acc += cache.display_probability_bursty(lambda, queued, mean_session);
+                for &(expected, queued, mean_session) in cands {
+                    let mut tail = BurstyTail::new(expected, mean_session, DISPERSION);
+                    acc += tail.prob(queued);
+                    tails.push(tail);
                 }
                 black_box(acc)
             });
@@ -56,18 +61,19 @@ fn bench_score_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_score_sweep_cold(c: &mut Criterion) {
-    // The cache-miss path: a fresh cache per iteration pays
-    // `exp(-lambda)` and the series build for every distinct rate.
+fn bench_rescore(c: &mut Criterion) {
+    // The re-score path: every candidate of a scored pool gains one
+    // queued ad, so each tail extends its series by at most one term.
     let cands = pool(128);
-    let mut g = c.benchmark_group("score_sweep_cold");
+    let mut g = c.benchmark_group("score_rescore");
     g.throughput(Throughput::Elements(cands.len() as u64));
     g.bench_function("128", |b| {
         b.iter(|| {
-            let mut cache = AvailabilityCache::new(0.85);
             let mut acc = 0.0;
-            for &(lambda, queued, mean_session) in &cands {
-                acc += cache.display_probability_bursty(lambda, queued, mean_session);
+            for &(expected, queued, mean_session) in &cands {
+                let mut tail = BurstyTail::new(expected, mean_session, DISPERSION);
+                acc += tail.prob(queued);
+                acc += tail.prob(queued + 1);
             }
             black_box(acc)
         });
@@ -75,10 +81,5 @@ fn bench_score_sweep_cold(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_closed_form,
-    bench_score_sweep,
-    bench_score_sweep_cold
-);
+criterion_group!(benches, bench_closed_form, bench_score_sweep, bench_rescore);
 criterion_main!(benches);

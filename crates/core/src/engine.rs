@@ -46,7 +46,7 @@ use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime, BUCKET_SPAN_MS};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
 use adpf_obs::{MetricId, MetricRegistry, ObsSink};
-use adpf_overbooking::availability::{AvailabilityCache, ClientAvailability};
+use adpf_overbooking::availability::{display_probability_bursty, BurstyTail, ClientAvailability};
 use adpf_overbooking::planner::{ReplicationPlanner, PLAN_INLINE};
 use adpf_traces::{AdSlot, AppId, UserId, UserSlots};
 use rand::rngs::StdRng;
@@ -302,7 +302,7 @@ pub struct EngineScratch {
     scratch_outbox: Vec<CachedAd>,
     scratch_reports: Vec<(AdId, SimTime)>,
     scratch_cands: Vec<ClientAvailability>,
-    scratch_meta: Vec<(f64, f64)>,
+    scratch_meta: Vec<BurstyTail>,
     scratch_due: Vec<(u64, SimTime)>,
     scratch_gather: Vec<(u32, SimTime)>,
     scratch_cancel: Vec<u64>,
@@ -385,9 +385,6 @@ pub struct ClientEngine {
     mid: SimIds,
     /// Scratch for the rescue scan's due-ad list.
     scratch_due: Vec<(u64, SimTime)>,
-    /// Memoized bursty-availability evaluator (exact, keyed on lambda
-    /// bits) shared by every `place_ad` call.
-    avail: AvailabilityCache,
     /// Monotone counter bumped at each `sync_body`; versions the
     /// per-client `expected_rate` memo below.
     sync_epoch: u64,
@@ -413,9 +410,9 @@ pub struct ClientEngine {
     scratch_outbox: Vec<CachedAd>,
     scratch_reports: Vec<(AdId, SimTime)>,
     scratch_cands: Vec<ClientAvailability>,
-    /// `(lambda, mean_session_slots)` per pool entry, aligned with
-    /// `scratch_cands` — the inputs needed to re-score an entry.
-    scratch_meta: Vec<(f64, f64)>,
+    /// Each pool entry's resumable Poisson-tail state, aligned with
+    /// `scratch_cands` — what re-scoring an entry extends.
+    scratch_meta: Vec<BurstyTail>,
     /// Per-build `(client, score-window start)` pairs from the gather
     /// phase of the pool build, aligned with `scratch_cands`.
     scratch_gather: Vec<(u32, SimTime)>,
@@ -577,7 +574,6 @@ impl ClientEngine {
 
         let planner = config.planner.build();
         let fault_rng = StdRng::seed_from_u64(stream_seed ^ 0xd20_0ff);
-        let avail = AvailabilityCache::new(config.availability_dispersion);
         let n_clients = clients.len();
         let candidate_pool = config.candidate_pool;
         let net = config
@@ -598,7 +594,6 @@ impl ClientEngine {
         scratch_meta.reserve(candidate_pool);
         Self {
             config,
-            avail,
             sync_epoch: 0,
             lambda_epoch,
             lambda_cache,
@@ -1144,9 +1139,8 @@ impl ClientEngine {
         // and horizon are fixed for the duration), and therefore one
         // replica-candidate pool. The pool is evaluated once, lazily, at
         // the first sale that needs replicas; later sales reuse it, with
-        // only the entries whose queue depth changed re-scored through
-        // the availability cache (which extends the memoized Poisson
-        // series instead of recomputing it).
+        // only the entries whose queue depth changed re-scored: each
+        // extends its own Poisson-tail series instead of recomputing it.
         let deadline = (now + self.config.deadline).min(self.horizon);
         let mut pool_built = false;
         for _ in 0..to_sell {
@@ -1310,9 +1304,12 @@ impl ClientEngine {
         let lambda = self.cached_rate(origin, now, deadline);
         let queued = self.clients.queued[origin];
         let mean_session = self.clients.predictor[origin].mean_session_slots();
-        let p_origin = self
-            .avail
-            .display_probability_bursty(lambda, queued, mean_session);
+        let p_origin = display_probability_bursty(
+            lambda,
+            queued,
+            mean_session,
+            self.config.availability_dispersion,
+        );
         let mut holders: InlineVec<u32, { PLAN_INLINE + 1 }> = InlineVec::new();
         holders.push(origin as u32);
         if p_origin >= self.config.sla_target {
@@ -1341,14 +1338,14 @@ impl ClientEngine {
     /// next `candidate_pool - 1` clients under the rotating cursor, each
     /// scored over the window in which it could actually display. Fills
     /// `scratch_cands` (planner input) and the aligned `scratch_meta`
-    /// (the per-candidate rate inputs needed to re-score an entry when
-    /// its queue depth changes mid-sync).
+    /// (each candidate's Poisson-tail state, extended when its queue
+    /// depth grows mid-sync).
     /// The build is split gather → rate → score over flat SoA buffers:
     /// the cursor walk (branchy, touches `next_sync`), the predictor
     /// rate queries (virtual calls), and the Poisson-tail scoring (pure
     /// float math over `scratch_meta`) each run as their own tight loop
     /// instead of one interleaved pass. Every per-candidate computation
-    /// is pure and memoized on its own inputs, so the phase split
+    /// is a pure function of its own inputs, so the phase split
     /// produces bit-identical probabilities in the identical pool order.
     fn build_candidate_pool(&mut self, origin: usize, now: SimTime, deadline: SimTime) {
         self.scratch_cands.clear();
@@ -1383,21 +1380,20 @@ impl ClientEngine {
             self.scratch_gather.push((j as u32, start));
         }
         // Rate: one (epoch-memoized) expected-rate query per candidate.
+        let dispersion = self.config.availability_dispersion;
         for idx in 0..self.scratch_gather.len() {
             let (j, start) = self.scratch_gather[idx];
             let lambda_j = self.cached_rate(j as usize, start, deadline);
             let mean_session_j = self.clients.predictor[j as usize].mean_session_slots();
-            self.scratch_meta.push((lambda_j, mean_session_j));
+            self.scratch_meta
+                .push(BurstyTail::new(lambda_j, mean_session_j, dispersion));
         }
         // Score: Poisson-tail availability over the flat meta array,
         // stamping each client's O(1) position handle as we go.
         for idx in 0..self.scratch_gather.len() {
             let (j, _) = self.scratch_gather[idx];
-            let (lambda_j, mean_session_j) = self.scratch_meta[idx];
             let queued_j = self.clients.queued[j as usize];
-            let prob = self
-                .avail
-                .display_probability_bursty(lambda_j, queued_j, mean_session_j);
+            let prob = self.scratch_meta[idx].prob(queued_j);
             self.scratch_cands
                 .push(ClientAvailability { client: j, prob });
             self.pool_pos[j as usize] = idx as u32;
@@ -1408,9 +1404,9 @@ impl ClientEngine {
     }
 
     /// Re-scores the pool entries of freshly chosen replica holders
-    /// (their `queued` just grew). The rate inputs come from
-    /// `scratch_meta`; only the Poisson tail is re-evaluated, and the
-    /// availability cache serves it from the already-memoized series.
+    /// (their `queued` just grew). Each entry's tail state in
+    /// `scratch_meta` extends its series to the deeper queue; the rate
+    /// is never recomputed.
     /// Replica holders always come out of the current build's pool, so
     /// the `pool_pos`/`pool_epoch` handle resolves each one in O(1) —
     /// the linear `position` scan this replaces was the planner loop's
@@ -1423,11 +1419,8 @@ impl ClientEngine {
             }
             let pos = self.pool_pos[h as usize] as usize;
             debug_assert_eq!(self.scratch_cands[pos].client, h);
-            let (lambda, mean_session) = self.scratch_meta[pos];
             let queued = self.clients.queued[h as usize];
-            self.scratch_cands[pos].prob =
-                self.avail
-                    .display_probability_bursty(lambda, queued, mean_session);
+            self.scratch_cands[pos].prob = self.scratch_meta[pos].prob(queued);
             self.obs.inc(self.mid.pool_rescored, 1);
         }
     }
@@ -1436,8 +1429,8 @@ impl ClientEngine {
     ///
     /// Valid because nothing a rate depends on — the client's predictor
     /// state, its `next_sync`, the sale deadline — changes between the
-    /// ads sold at one sync (only `queued` moves, which feeds the
-    /// availability cache separately). The origin and candidates never
+    /// ads sold at one sync (only `queued` moves, which the pool's tail
+    /// states absorb separately). The origin and candidates never
     /// collide on an entry: `place_ad` skips `j == origin`.
     fn cached_rate(&mut self, j: usize, start: SimTime, deadline: SimTime) -> f64 {
         if self.lambda_epoch[j] == self.sync_epoch {

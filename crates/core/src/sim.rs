@@ -86,8 +86,8 @@ pub fn default_shards(num_users: u32) -> usize {
 /// the invariant that lets per-shard setup be hoisted without touching
 /// report hashes. Today the expensive shared piece is the campaign
 /// catalog (per-campaign bid model synthesis); the other per-shard setup
-/// (`AvailabilityCache` priors, netem config parsing) was measured to be
-/// trivial and intentionally stays inline.
+/// (client tables, netem config parsing) was measured to be trivial and
+/// intentionally stays inline.
 pub struct ShardContext {
     pub(crate) campaigns: Vec<Campaign>,
     /// Marketplace campaign-type assignment, index-aligned with

@@ -29,13 +29,13 @@ pub const PEAK_RSS_METRIC: &str = "proc.peak_rss_kb";
 /// memory that workload (plus everything before it in the process) ever
 /// held resident.
 pub fn peak_rss_kb() -> Option<u64> {
-    read_status_kb("VmHWM:")
+    status_kb(&read_status()?, "VmHWM:")
 }
 
 /// The process's current resident set size ("VmRSS") in KiB, or `None`
 /// where unavailable.
 pub fn current_rss_kb() -> Option<u64> {
-    read_status_kb("VmRSS:")
+    status_kb(&read_status()?, "VmRSS:")
 }
 
 /// Records the current peak RSS into `sink` as the [`PEAK_RSS_METRIC`]
@@ -48,9 +48,12 @@ pub fn record_peak_rss(sink: &dyn ObsSink) -> Option<u64> {
     Some(kb)
 }
 
-/// Parses one `kB`-valued field out of `/proc/self/status`.
-fn read_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+fn read_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// Parses one `kB`-valued field out of a `/proc/self/status` snapshot.
+fn status_kb(status: &str, field: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with(field))?;
     line[field.len()..]
         .trim()
@@ -69,8 +72,12 @@ mod tests {
     fn peak_rss_is_positive_and_at_least_current() {
         // On Linux (the only CI target) /proc must be readable; both
         // gauges are in KiB and the high-water mark bounds the current
-        // value by definition.
-        let (Some(peak), Some(current)) = (peak_rss_kb(), current_rss_kb()) else {
+        // value by definition. Both come from one snapshot: two separate
+        // reads would race other test threads growing the process.
+        let status = read_status().unwrap_or_default();
+        let (Some(peak), Some(current)) =
+            (status_kb(&status, "VmHWM:"), status_kb(&status, "VmRSS:"))
+        else {
             return; // Non-procfs host: nothing to check.
         };
         assert!(peak > 0);

@@ -5,18 +5,15 @@
 //! - the closed-form functions ([`poisson_tail`],
 //!   [`display_probability_bursty`]) restart the Poisson summation on
 //!   every call — simple, and the reference the tests check against;
-//! - the incremental path ([`PoissonTailSeries`], [`AvailabilityCache`])
-//!   memoizes the running pmf/cdf per distinct `lambda` so the hot
-//!   placement loop extends an existing series instead of recomputing
-//!   `exp(-lambda)` and the term products from scratch.
+//! - the incremental path ([`BurstyTail`]) keeps one candidate's running
+//!   pmf/cdf, so re-scoring it at a deeper queue extends the series
+//!   instead of recomputing `exp(-lambda)` and the term products.
 //!
 //! The incremental path is **bit-identical** to the closed form: it
 //! performs the same floating-point operations in the same order, merely
-//! caching prefixes. That property is load-bearing — the simulator's
-//! golden determinism suite compares full reports across code paths.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! resuming where the last query stopped. That property is load-bearing
+//! — the simulator's golden determinism suite compares full reports
+//! across code paths.
 
 /// A candidate client for holding a replica of a pre-sold ad.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -84,163 +81,64 @@ pub fn display_probability_bursty(
     poisson_tail(needed_sessions.max(1), lambda_sessions)
 }
 
-/// Incrementally evaluated upper Poisson tails at one fixed `lambda`.
+/// One candidate's [`display_probability_bursty`] as a resumable
+/// Poisson-tail recurrence.
 ///
-/// [`poisson_tail`] rebuilds `pmf(0..k)` on every call; this type keeps
-/// the running pmf and the cdf prefix sums, so `tail(k)` extends the
-/// series only past the largest `k` seen so far and answers smaller `k`
-/// from the stored prefixes. The recurrence (`pmf *= lambda / j;
-/// cdf += pmf`) is the closed form's own loop, executed once — results
-/// are bit-identical to [`poisson_tail`] for every `(k, lambda)`.
-#[derive(Debug, Clone)]
-pub struct PoissonTailSeries {
+/// A replica candidate keeps its rate inputs for a whole sync while its
+/// queue depth only grows as ads are placed on it, so the tail it needs
+/// moves forward: `prob` extends the running pmf/cdf from the terms
+/// already taken instead of restarting at `exp(-lambda)`. Only a query
+/// needing fewer terms than were taken (the queue shrank) restarts the
+/// series. The recurrence (`pmf *= lambda / j; cdf += pmf`) is
+/// [`poisson_tail`]'s own loop executed once, so every answer is
+/// bit-identical to the closed form for the same inputs.
+#[derive(Debug, Clone, Copy)]
+pub struct BurstyTail {
+    /// Session-arrival rate over the window.
     lambda: f64,
-    /// `pmf(j)` for the last accumulated term `j = cdfs.len() - 1`.
+    /// Slots per session, clamped to at least one.
+    session: f64,
+    /// `pmf(terms - 1)`.
     pmf: f64,
-    /// `cdfs[j] = P(X <= j)`, grown lazily.
-    cdfs: Vec<f64>,
+    /// `P(X < terms)`.
+    cdf: f64,
+    /// Pmf terms summed into `cdf`; 0 before the first query.
+    terms: u32,
 }
 
-impl PoissonTailSeries {
-    /// Starts a series for `lambda` (computes `exp(-lambda)` once).
-    pub fn new(lambda: f64) -> Self {
-        if lambda <= 0.0 {
-            return Self {
-                lambda,
-                pmf: 0.0,
-                cdfs: Vec::new(),
-            };
-        }
-        let pmf = (-lambda).exp();
+impl BurstyTail {
+    /// The tail state for a client with `expected_slots` predicted slots
+    /// in the window, at the given session length and day-level
+    /// `dispersion` (see [`display_probability_bursty`]). No `exp` is
+    /// paid until the first [`prob`](Self::prob).
+    pub fn new(expected_slots: f64, slots_per_session: f64, dispersion: f64) -> Self {
+        let session = slots_per_session.max(1.0);
         Self {
-            lambda,
-            pmf,
-            cdfs: vec![pmf],
+            lambda: dispersion.clamp(0.0, 1.0) * expected_slots.max(0.0) / session,
+            session,
+            pmf: 0.0,
+            cdf: 0.0,
+            terms: 0,
         }
     }
 
-    /// The series' `lambda`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// `P(X >= k)` for `X ~ Poisson(lambda)`; bit-identical to
-    /// [`poisson_tail`]`(k, lambda)`.
-    pub fn tail(&mut self, k: u32) -> f64 {
+    /// [`display_probability_bursty`] at `queued_ahead`, bit for bit.
+    pub fn prob(&mut self, queued_ahead: u32) -> f64 {
+        let needed = (((queued_ahead as f64 + 1.0) / self.session).ceil() as u32).max(1);
         if self.lambda <= 0.0 {
-            return if k == 0 { 1.0 } else { 0.0 };
+            return 0.0; // needed >= 1, so the tail of an empty process.
         }
-        if k == 0 {
-            return 1.0;
+        if self.terms == 0 || needed < self.terms {
+            self.pmf = (-self.lambda).exp();
+            self.cdf = self.pmf;
+            self.terms = 1;
         }
-        while self.cdfs.len() < k as usize {
-            let j = self.cdfs.len() as f64; // Next pmf term index.
-            self.pmf *= self.lambda / j;
-            let cdf = self.cdfs.last().expect("non-empty for lambda > 0") + self.pmf;
-            self.cdfs.push(cdf);
+        while self.terms < needed {
+            self.pmf *= self.lambda / self.terms as f64;
+            self.cdf += self.pmf;
+            self.terms += 1;
         }
-        (1.0 - self.cdfs[k as usize - 1]).clamp(0.0, 1.0)
-    }
-}
-
-/// Multiplicative mixer for `f64`-bit cache keys: the default SipHash
-/// would cost more than the tail math it guards.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BitsHasher(u64);
-
-impl Hasher for BitsHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Memoizing evaluator for [`display_probability_bursty`].
-///
-/// The placement hot loop evaluates availability for dozens of
-/// candidates per sale, and sells several ads per sync against the same
-/// candidate set — the same session-arrival rate `lambda` recurs many
-/// times with only the queue depth varying. The cache keys a
-/// [`PoissonTailSeries`] on the *exact bit pattern* of the derived
-/// `lambda`, so `exp(-lambda)` is paid once per distinct rate and deeper
-/// queue depths extend the shared series.
-///
-/// Keys are exact (no lossy quantization): a coarser key would return
-/// the tail of a *nearby* lambda, silently changing placement decisions
-/// and breaking the bit-for-bit determinism contract the golden report
-/// suite enforces. Full `f64`-bit keying makes the cache a pure
-/// memoization — every returned value is exactly what the closed form
-/// would produce.
-#[derive(Debug)]
-pub struct AvailabilityCache {
-    dispersion: f64,
-    series: HashMap<u64, PoissonTailSeries, BuildHasherDefault<BitsHasher>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl AvailabilityCache {
-    /// Bound on cached distinct lambdas; the map is cleared when it
-    /// fills. Reuse is concentrated within a sync (tens of candidates,
-    /// a handful of sales), so a modest bound loses nothing.
-    const MAX_ENTRIES: usize = 4096;
-
-    /// Creates a cache evaluating at the given day-level `dispersion`
-    /// (see [`display_probability_bursty`]).
-    pub fn new(dispersion: f64) -> Self {
-        Self {
-            dispersion,
-            series: HashMap::default(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Memoized [`display_probability_bursty`] at the cache's
-    /// dispersion; bit-identical to the closed form.
-    pub fn display_probability_bursty(
-        &mut self,
-        expected_slots: f64,
-        queued_ahead: u32,
-        slots_per_session: f64,
-    ) -> f64 {
-        let l = slots_per_session.max(1.0);
-        let lambda_sessions = self.dispersion.clamp(0.0, 1.0) * expected_slots.max(0.0) / l;
-        let needed_sessions = (((queued_ahead as f64 + 1.0) / l).ceil() as u32).max(1);
-        if lambda_sessions <= 0.0 {
-            // needed_sessions >= 1, so the closed form returns 0 here
-            // without touching the series.
-            return 0.0;
-        }
-        if self.series.len() >= Self::MAX_ENTRIES {
-            self.series.clear();
-        }
-        match self.series.entry(lambda_sessions.to_bits()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                self.hits += 1;
-                e.get_mut().tail(needed_sessions)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses += 1;
-                v.insert(PoissonTailSeries::new(lambda_sessions))
-                    .tail(needed_sessions)
-            }
-        }
-    }
-
-    /// `(hits, misses)` counters — the cache's effectiveness witness.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (1.0 - self.cdf).clamp(0.0, 1.0)
     }
 }
 

@@ -27,7 +27,8 @@
 //! The parser is **panic-free and forgiving by design**: a malformed,
 //! out-of-order or non-UTF-8 line is *rejected* — reported with its
 //! 1-based line number and counted under `serve.ingest_errors` — and the
-//! stream keeps going. Only a missing header is unrecoverable, because nothing can be
+//! stream keeps going. The server also rejects, unread, any line longer
+//! than 4 KiB, so one endless line cannot exhaust its memory. Only a missing header is unrecoverable, because nothing can be
 //! sized without it.
 
 use std::io::Write;
@@ -201,6 +202,13 @@ impl Parser {
                 self.reject("line is not valid UTF-8".into())
             }
         }
+    }
+
+    /// Rejects the next input line, which is longer than `limit` bytes
+    /// and was dropped unread.
+    pub(crate) fn reject_overlong(&mut self, limit: usize) -> Parsed {
+        self.line += 1;
+        self.reject(format!("line longer than {limit} bytes"))
     }
 
     fn feed_header(&mut self, rest: &str) -> Parsed {

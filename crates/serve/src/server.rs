@@ -80,6 +80,11 @@ const QUEUE_BATCHES: usize = 64;
 /// Events a worker gathers from its queue into one shard-sorted group.
 const GROUP_EVENTS: usize = 16 * 1024;
 
+/// Longest accepted input line, in bytes, far above any protocol
+/// record. A longer line is one rejection and is skipped through its
+/// newline, so the carry buffer never holds more than this.
+const MAX_LINE: usize = 4 * 1024;
+
 /// How a [`serve`] run is configured.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -204,28 +209,74 @@ impl ErrorLog {
     }
 }
 
-/// Splits a [`BufRead`] into lines straight from its buffer: a line
-/// inside one chunk is borrowed from it, and only a line that spans two
-/// chunks is copied, into one reused carry buffer.
+/// Splits a [`BufRead`] into lines straight from its buffer and parses
+/// each: a line inside one chunk is borrowed from it, and only a line
+/// that spans two chunks is copied, into one reused carry buffer.
 struct LineSplitter<R> {
     input: R,
+    partial: PartialLine,
+}
+
+/// The start of a line that spans chunks, plus the parser its lines go
+/// to.
+struct PartialLine {
+    /// The line's bytes so far; never longer than [`MAX_LINE`], and
+    /// allocated at that size once so it never grows past it.
     carry: Vec<u8>,
+    /// The line so far already exceeds [`MAX_LINE`]: the rest of it is
+    /// dropped and the whole line is one rejection.
+    overlong: bool,
+    parser: Parser,
+}
+
+impl PartialLine {
+    /// Parses the line whose last bytes are `tail` (without the `\n`).
+    fn finish(&mut self, tail: &[u8]) -> Parsed {
+        let parsed = if self.overlong || self.carry.len() + tail.len() > MAX_LINE {
+            self.parser.reject_overlong(MAX_LINE)
+        } else if self.carry.is_empty() {
+            self.parser.feed_bytes(tail)
+        } else {
+            self.carry.extend_from_slice(tail);
+            self.parser.feed_bytes(&self.carry)
+        };
+        self.carry.clear();
+        self.overlong = false;
+        parsed
+    }
+
+    /// Keeps `bytes`, the unterminated end of a chunk, for the next one.
+    fn hold(&mut self, bytes: &[u8]) {
+        if self.overlong {
+            return;
+        }
+        if self.carry.len() + bytes.len() > MAX_LINE {
+            self.overlong = true;
+            self.carry.clear();
+        } else {
+            self.carry.extend_from_slice(bytes);
+        }
+    }
 }
 
 impl<R: BufRead> LineSplitter<R> {
     fn new(input: R) -> Self {
         Self {
             input,
-            carry: Vec::new(),
+            partial: PartialLine {
+                carry: Vec::with_capacity(MAX_LINE),
+                overlong: false,
+                parser: Parser::new(),
+            },
         }
     }
 
-    /// Hands each line of the next input chunk to `each`, without its
-    /// `\n`, and consumes the chunk. When `each` breaks, only the input
-    /// through that line is consumed. Returns `false` once `each` broke
-    /// or the input is exhausted; a last line without a newline is
-    /// handed over at end of input.
-    fn next_chunk(&mut self, mut each: impl FnMut(&[u8]) -> ControlFlow<()>) -> io::Result<bool> {
+    /// Hands each line of the next input chunk to `each`, parsed, and
+    /// consumes the chunk. When `each` breaks, only the input through
+    /// that line is consumed. Returns `false` once `each` broke or the
+    /// input is exhausted; a last line without a newline is handed over
+    /// at end of input.
+    fn next_chunk(&mut self, mut each: impl FnMut(Parsed) -> ControlFlow<()>) -> io::Result<bool> {
         let chunk = loop {
             match self.input.fill_buf() {
                 Ok(chunk) => break chunk,
@@ -234,30 +285,22 @@ impl<R: BufRead> LineSplitter<R> {
             }
         };
         if chunk.is_empty() {
-            if !self.carry.is_empty() {
-                let _ = each(&self.carry);
-                self.carry.clear();
+            if self.partial.overlong || !self.partial.carry.is_empty() {
+                let _ = each(self.partial.finish(&[]));
             }
             return Ok(false);
         }
         let mut start = 0;
         while let Some(len) = chunk[start..].iter().position(|&b| b == b'\n') {
             let end = start + len;
-            let flow = if self.carry.is_empty() {
-                each(&chunk[start..end])
-            } else {
-                self.carry.extend_from_slice(&chunk[start..end]);
-                let flow = each(&self.carry);
-                self.carry.clear();
-                flow
-            };
+            let flow = each(self.partial.finish(&chunk[start..end]));
             start = end + 1;
             if flow.is_break() {
                 self.input.consume(start);
                 return Ok(false);
             }
         }
-        self.carry.extend_from_slice(&chunk[start..]);
+        self.partial.hold(&chunk[start..]);
         let used = chunk.len();
         self.input.consume(used);
         Ok(true)
@@ -282,7 +325,6 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
         ));
     }
 
-    let mut parser = Parser::new();
     let mut errors = ErrorLog {
         count: 0,
         cap: opts.error_sample,
@@ -295,7 +337,7 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     let mut lines = LineSplitter::new(input);
     let mut header = None;
     while header.is_none() {
-        let more = lines.next_chunk(|line| match parser.feed_bytes(line) {
+        let more = lines.next_chunk(|parsed| match parsed {
             Parsed::Header(h) => {
                 header = Some(h);
                 ControlFlow::Break(())
@@ -427,8 +469,8 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
                 .expect("worker outlives the router");
         };
         loop {
-            let more = lines.next_chunk(|line| {
-                match parser.feed_bytes(line) {
+            let more = lines.next_chunk(|parsed| {
+                match parsed {
                     Parsed::Event(e) => {
                         // First range whose end exceeds the user id; the
                         // parser guarantees `user < users`, so this hits.
@@ -596,6 +638,67 @@ mod tests {
         assert_eq!(out.error_sample[0].line, 12);
         assert_eq!(out.requests, clean.requests);
         assert_eq!(out.report, clean.report);
+    }
+
+    /// Read size of the readers the overlong-line tests serve from.
+    const CHUNK: usize = 8 * 1024;
+
+    /// The smoke stream with one 3 MiB line spliced in after its 11th
+    /// line: spaces, then a copy of that valid event line. The copy
+    /// starts a fresh `CHUNK`-byte read, so a reader that let the tail of
+    /// an overlong line through would accept it as an event.
+    fn stream_with_an_endless_line(stream: &[u8]) -> Vec<u8> {
+        let mut dirty = Vec::new();
+        for (i, line) in stream.split_inclusive(|&b| b == b'\n').enumerate() {
+            dirty.extend_from_slice(line);
+            if i == 10 {
+                let pad = (3 << 20) - dirty.len() % CHUNK;
+                dirty.extend(std::iter::repeat_n(b' ', pad));
+                dirty.extend_from_slice(line);
+            }
+        }
+        dirty
+    }
+
+    #[test]
+    fn an_overlong_line_is_one_rejection() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let clean = serve(&ServeOptions::new(cfg.clone()), stream.as_slice()).unwrap();
+        let dirty = stream_with_an_endless_line(&stream);
+        let reader = io::BufReader::with_capacity(CHUNK, dirty.as_slice());
+        let out = serve(&ServeOptions::new(cfg), reader).unwrap();
+        assert_eq!(out.ingest_errors, 1);
+        assert_eq!(out.error_sample[0].line, 12);
+        assert_eq!(out.requests, clean.requests);
+        assert_eq!(out.report, clean.report);
+    }
+
+    #[test]
+    fn the_carry_buffer_stays_within_its_cap() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let dirty = stream_with_an_endless_line(&stream);
+        let mut lines = LineSplitter::new(io::BufReader::with_capacity(CHUNK, dirty.as_slice()));
+        let (mut events, mut rejected) = (0, 0);
+        loop {
+            let more = lines
+                .next_chunk(|parsed| {
+                    match parsed {
+                        Parsed::Event(_) => events += 1,
+                        Parsed::Rejected(_) => rejected += 1,
+                        _ => {}
+                    }
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+            assert!(lines.partial.carry.capacity() <= MAX_LINE);
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(rejected, 1);
+        assert_eq!(events, stream.iter().filter(|&&b| b == b'\n').count() - 1);
     }
 
     #[test]
